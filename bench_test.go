@@ -173,8 +173,8 @@ func BenchmarkE10PortalScale(b *testing.B) {
 
 // BenchmarkFaultScenario prices the fault-injection layer: the same
 // 200-replicate batch with no injector wired ("fault-off") and under
-// the default hostile schedule ("fault-on"). The pair is the PR4
-// overhead artifact (BENCH_PR4.json, `make bench-json-faults`).
+// the default hostile schedule ("fault-on"). BENCH_PR4.json holds its
+// historical numbers.
 func BenchmarkFaultScenario(b *testing.B) {
 	for _, c := range []struct {
 		name    string
@@ -361,8 +361,8 @@ func BenchmarkForestPredict(b *testing.B) {
 }
 
 // --- PR2 engine benchmarks: incremental re-evaluation + parallel scoring ---
-// Regenerate BENCH_PR2.json with:
-//   make bench   (or: go test -run '^$' -bench 'SearchEval50|Search50|ParallelScore' -benchmem | go run ./cmd/benchjson > BENCH_PR2.json)
+// Run with `make bench`. BENCH_PR2.json and BENCH_PR7.json hold their
+// historical numbers; perfbench/ is the repository benchmark.
 
 // bench50 builds a 50-taxon GTR+Γ4 nucleotide fixture for the PR2
 // benchmarks.
@@ -586,8 +586,7 @@ func BenchmarkSimEngine(b *testing.B) {
 // BenchmarkWALScenario prices crash-consistent durability: the same
 // 200-replicate hostile-schedule batch with durability off ("wal-off")
 // and with every coordinator transition logged to a write-ahead log
-// ("wal-on"). The pair is the PR5 overhead artifact (BENCH_PR5.json,
-// `make bench-json-wal`).
+// ("wal-on"). BENCH_PR5.json holds its historical numbers.
 func BenchmarkWALScenario(b *testing.B) {
 	for _, c := range []struct {
 		name    string
@@ -614,8 +613,8 @@ func BenchmarkWALScenario(b *testing.B) {
 // standard analysis run flat (every stage submitted up front as an
 // independent batch, the way the paper's users chained submissions by
 // hand) versus as one typed DAG. Reports wall time and mean
-// stage-queue wait (job place wait). The pair is the PR8 artifact
-// (BENCH_PR8.json, `make bench-json-dag`).
+// stage-queue wait (job place wait). BENCH_PR8.json holds its
+// historical numbers.
 func BenchmarkDagWorkflow(b *testing.B) {
 	for _, c := range []struct {
 		name   string
@@ -642,18 +641,12 @@ func BenchmarkDagWorkflow(b *testing.B) {
 	}
 }
 
-// BenchmarkScaleOut prices coordinator sharding: 10^5 simulated users
-// pushed through 1, 2, 4 and 8 coordinator shards behind the
-// deterministic router. Reports virtual makespan, throughput, mean
-// front-door wait and peak front-door queue depth per shard count.
-// The sweep is the PR9 artifact (BENCH_PR9.json,
-// `make bench-json-scale`).
 // BenchmarkOverloadScenario prices overload protection: a 10× demand
 // spike pushed through protected 1- and 4-shard clusters (admission
 // control, fair-share shedding, circuit breakers) and the unprotected
 // 1-shard baseline. Reports goodput ratio, shed counts and p99
-// front-door wait per configuration. The sweep is the PR10 artifact
-// (BENCH_PR10.json, `make bench-json-overload`).
+// front-door wait per configuration. BENCH_PR10.json holds its
+// historical numbers.
 func BenchmarkOverloadScenario(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.OverloadScenario(1)
@@ -677,6 +670,11 @@ func BenchmarkOverloadScenario(b *testing.B) {
 	}
 }
 
+// BenchmarkScaleOut prices coordinator sharding: 10^5 simulated users
+// pushed through 1, 2, 4 and 8 coordinator shards behind the
+// deterministic router. Reports virtual makespan, throughput, mean
+// front-door wait and peak front-door queue depth per shard count.
+// BENCH_PR9.json holds its historical numbers.
 func BenchmarkScaleOut(b *testing.B) {
 	const users = 100000
 	for _, shards := range []int{1, 2, 4, 8} {

@@ -20,8 +20,9 @@
 //
 // Everything runs on the simulation's virtual clock and uses no
 // randomness, so same-seed runs shed the same submissions at the same
-// instants and stay digest-equal. The zero Config disables the layer
-// entirely.
+// instants and stay digest-equal. The zero Config disables all three
+// mechanisms: the controller is then the unprotected front-door queue,
+// serving in exact arrival order.
 package admit
 
 import (
@@ -42,7 +43,8 @@ const (
 	ReasonOverload = "overload"
 )
 
-// Config tunes the admission controller. The zero value disables it.
+// Config tunes the admission controller. The zero value disables
+// every protection mechanism and leaves a plain arrival-order queue.
 type Config struct {
 	// UserRatePerHour is the per-user token-bucket refill rate in
 	// replicates per virtual hour. 0 disables quotas.
@@ -134,7 +136,9 @@ type user struct {
 // Controller is the admission state machine. It is not goroutine-safe:
 // like the rest of the coordinator it runs inside single-threaded
 // engine callbacks. It draws no randomness — admission order is a pure
-// function of the arrival sequence and the virtual clock.
+// function of the arrival sequence and the virtual clock. The zero
+// Controller is ready to use as the unprotected queue, the same as
+// NewController with the zero Config.
 type Controller struct {
 	cfg   Config
 	users map[string]*user
@@ -146,9 +150,9 @@ type Controller struct {
 	queuedSeconds float64
 }
 
-// NewController builds a controller for an enabled config. Callers
-// should gate on cfg.Enabled() first; a disabled config yields a
-// controller that admits everything unmetered.
+// NewController builds a controller. A disabled config yields the
+// unprotected queue: everything is admitted unmetered and served in
+// arrival order.
 func NewController(cfg Config) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -193,8 +197,15 @@ func (c *Controller) TakeQuota(userEmail string, cost float64, now sim.Time) *Re
 // later of the global virtual time and its user's previous finish, and
 // finishes its cost later. Serving in finish-tag order interleaves
 // users regardless of how many entries any one of them has queued.
+// With the protection disabled every entry shares one fair-share key,
+// so each entry starts where the previous one finished, tags never
+// decrease, and the queue serves in exact arrival order.
 func (c *Controller) Push(userEmail string, cost float64, payload any) *Entry {
-	u := c.userState(userEmail, sim.Time(0))
+	key := userEmail
+	if !c.cfg.Enabled() {
+		key = ""
+	}
+	u := c.userState(key, sim.Time(0))
 	start := max(c.vtime, u.lastFinish)
 	e := &Entry{
 		User:    userEmail,
@@ -287,6 +298,9 @@ func (c *Controller) evictMaxFinish() *Entry {
 func (c *Controller) userState(email string, now sim.Time) *user {
 	u, ok := c.users[email]
 	if !ok {
+		if c.users == nil {
+			c.users = make(map[string]*user)
+		}
 		u = &user{tokens: c.cfg.UserBurst, refilledAt: now}
 		c.users[email] = u
 	}

@@ -55,6 +55,37 @@ func TestFairShareFIFOWithinUser(t *testing.T) {
 	}
 }
 
+// TestZeroConfigServesArrivalOrder pins the unprotected queue: with
+// the zero Config the same heavy-then-light arrivals that fair share
+// reorders are served strictly in arrival order, also when pops
+// interleave with pushes, and nothing is ever shed.
+func TestZeroConfigServesArrivalOrder(t *testing.T) {
+	c := newTestController(t, Config{})
+	c.Push("heavy@example.edu", 2000, "h1")
+	c.Push("heavy@example.edu", 2000, "h2")
+	var order []string
+	order = append(order, c.Pop().Payload.(string))
+	for _, u := range []string{"a", "b", "c"} {
+		c.Push(u+"@example.edu", 1, u)
+	}
+	c.Push("heavy@example.edu", 2000, "h3")
+	if v, rej := c.Overflow(1e9); v != nil || rej != nil {
+		t.Fatalf("zero config shed %v (%v)", v, rej)
+	}
+	for e := c.Pop(); e != nil; e = c.Pop() {
+		order = append(order, e.Payload.(string))
+	}
+	want := []string{"h1", "h2", "a", "b", "c", "h3"}
+	if len(order) != len(want) {
+		t.Fatalf("popped %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("pop order %v, want %v", order, want)
+		}
+	}
+}
+
 // TestFairShareVirtualTimeAdvances checks a user who went idle does
 // not bank credit: their next entry starts at the served virtual time,
 // not at their stale last finish.

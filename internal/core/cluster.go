@@ -170,11 +170,13 @@ func (c *Cluster) Route(user, origin string) int {
 }
 
 // SubmitSubmission routes a submission to its owner shard and
-// enqueues it through that shard's coordinator front door. The
-// returned int is the owning shard.
+// enqueues it through that shard's coordinator front door
+// (gsbl.Service.EnqueueBatchOrigin). The reference-cluster retraining
+// fork stays a feature of Lattice.SubmitSubmission and is not applied
+// here. The returned int is the owning shard.
 func (c *Cluster) SubmitSubmission(sub workload.Submission, onAccepted func(*gsbl.Batch, error)) (int, error) {
 	k := c.Route(sub.UserEmail, "core")
-	return k, c.Shards[k].EnqueueSubmission(sub, shard.Origin(k, "core"), onAccepted)
+	return k, c.Shards[k].Service.EnqueueBatchOrigin(sub, shard.Origin(k, "core"), onAccepted)
 }
 
 // ScheduleSubmission arranges for sub to arrive at virtual time at on
@@ -193,7 +195,7 @@ func (c *Cluster) scheduleArrival(k int, pa *pendingArrival) {
 	l := c.Shards[k]
 	l.Engine.ScheduleAt(pa.at, func() {
 		pa.delivered = true
-		if err := l.EnqueueSubmission(pa.sub, pa.origin, nil); err != nil {
+		if err := l.Service.EnqueueBatchOrigin(pa.sub, pa.origin, nil); err != nil {
 			l.Service.NoteIngestErr(fmt.Errorf("core: scheduled arrival at %v: %w", pa.at, err))
 		}
 	})
@@ -347,21 +349,12 @@ func (c *Cluster) Handler() http.Handler {
 
 // statusJSON merges every shard's /grid/status view.
 func (c *Cluster) statusJSON() any {
-	type row struct {
-		Name    string `json:"name"`
-		Kind    string `json:"kind"`
-		Total   int    `json:"totalCPUs"`
-		Free    int    `json:"freeCPUs"`
-		Queued  int    `json:"queued"`
-		Running int    `json:"running"`
-		Stable  bool   `json:"stable"`
-	}
 	type shardStatus struct {
-		Shard     int     `json:"shard"`
-		Crashed   bool    `json:"crashed"`
-		Time      float64 `json:"time"`
-		Resources []row   `json:"resources"`
-		Scheduler any     `json:"scheduler"`
+		Shard     int         `json:"shard"`
+		Crashed   bool        `json:"crashed"`
+		Time      float64     `json:"time"`
+		Resources []statusRow `json:"resources"`
+		Scheduler any         `json:"scheduler"`
 	}
 	out := make([]shardStatus, len(c.Shards))
 	for k, l := range c.Shards {
@@ -372,14 +365,7 @@ func (c *Cluster) statusJSON() any {
 		if l.Faults != nil {
 			st.Crashed = l.Faults.Crashed()
 		}
-		for _, e := range l.Index.Snapshot() {
-			st.Resources = append(st.Resources, row{
-				Name: e.Info.Name, Kind: e.Info.Kind,
-				Total: e.Info.TotalCPUs, Free: e.Info.FreeCPUs,
-				Queued: e.Info.QueuedJobs, Running: e.Info.RunningJobs,
-				Stable: e.Info.Stable,
-			})
-		}
+		st.Resources = l.statusRows()
 		st.Scheduler = l.Scheduler.Stats()
 		out[k] = st
 	}

@@ -221,26 +221,15 @@ func (rec *recorder) Workunit(at sim.Time, job, state, detail string) {
 
 // Submission implements gsbl.Durability. The Pre flag marks inputs
 // that arrived before the engine ever stepped, which replay must
-// apply before running any events.
-func (rec *recorder) Submission(at sim.Time, origin string, sub workload.Submission) {
+// apply before running any events. On the serialized ingest path the
+// enqueue is the input, so the record carries the Queued mark that
+// routes replay back through the ingest queue.
+func (rec *recorder) Submission(at sim.Time, origin string, sub workload.Submission, queued bool) {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	s := sub
 	rec.emit(wal.Record{
-		At: at, Kind: wal.KindSubmission, Origin: origin, Sub: &s,
-		Pre: rec.isPre(),
-	})
-}
-
-// QueuedSubmission implements gsbl.Durability for the serialized
-// ingest path: the enqueue is the input, so the record carries the
-// Queued mark that routes replay back through the ingest queue.
-func (rec *recorder) QueuedSubmission(at sim.Time, origin string, sub workload.Submission) {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	s := sub
-	rec.emit(wal.Record{
-		At: at, Kind: wal.KindSubmission, Origin: origin, Sub: &s, Queued: true,
+		At: at, Kind: wal.KindSubmission, Origin: origin, Sub: &s, Queued: queued,
 		Pre: rec.isPre(),
 	})
 }

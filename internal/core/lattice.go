@@ -74,12 +74,12 @@ type Config struct {
 	// gsbl.IngestConfig). Zero keeps the synchronous accept path —
 	// bit-identical to pre-scale-out builds.
 	Ingest gsbl.IngestConfig
-	// Admit, when enabled, layers admission control over the ingest
+	// Admit, when enabled, turns on the protection of the ingest
 	// queue: per-user token-bucket quotas, weighted fair-share ordering
-	// instead of FIFO, and bounded-queue load shedding with computed
-	// retry-after hints (see admit.Config). Requires Ingest to be
-	// enabled. The zero value keeps the plain FIFO ingest path —
-	// bit-identical to pre-admission builds.
+	// instead of arrival order, and bounded-queue load shedding with
+	// computed retry-after hints (see admit.Config). Requires Ingest to
+	// be enabled. The zero value leaves the same queue unprotected: no
+	// quotas, no shedding, served in arrival order.
 	Admit admit.Config
 	// IDPrefix qualifies batch and workflow IDs ("shard0-batch-000001")
 	// so a cluster front router can attribute an ID to its coordinator
@@ -315,31 +315,39 @@ func build(cfg Config, rebuild bool) (*Lattice, error) {
 	l.Portal.SetObs(l.Obs)
 	l.Portal.SetWorkflows(l.Workflows)
 	l.Portal.SetStatusSource(func() any {
-		type row struct {
-			Name    string `json:"name"`
-			Kind    string `json:"kind"`
-			Total   int    `json:"totalCPUs"`
-			Free    int    `json:"freeCPUs"`
-			Queued  int    `json:"queued"`
-			Running int    `json:"running"`
-			Stable  bool   `json:"stable"`
-		}
-		var rows []row
-		for _, e := range l.Index.Snapshot() {
-			rows = append(rows, row{
-				Name: e.Info.Name, Kind: e.Info.Kind,
-				Total: e.Info.TotalCPUs, Free: e.Info.FreeCPUs,
-				Queued: e.Info.QueuedJobs, Running: e.Info.RunningJobs,
-				Stable: e.Info.Stable,
-			})
-		}
 		return map[string]any{
-			"resources": rows,
+			"resources": l.statusRows(),
 			"scheduler": l.Scheduler.Stats(),
 			"time":      float64(l.Engine.Now()),
 		}
 	})
 	return l, nil
+}
+
+// statusRow is one resource line of the /grid/status body.
+type statusRow struct {
+	Name    string `json:"name"`
+	Kind    string `json:"kind"`
+	Total   int    `json:"totalCPUs"`
+	Free    int    `json:"freeCPUs"`
+	Queued  int    `json:"queued"`
+	Running int    `json:"running"`
+	Stable  bool   `json:"stable"`
+}
+
+// statusRows renders the MDS snapshot as /grid/status rows (nil when
+// no resource has published).
+func (l *Lattice) statusRows() []statusRow {
+	var rows []statusRow
+	for _, e := range l.Index.Snapshot() {
+		rows = append(rows, statusRow{
+			Name: e.Info.Name, Kind: e.Info.Kind,
+			Total: e.Info.TotalCPUs, Free: e.Info.FreeCPUs,
+			Queued: e.Info.QueuedJobs, Running: e.Info.RunningJobs,
+			Stable: e.Info.Stable,
+		})
+	}
+	return rows
 }
 
 // buildResource constructs one LRM from its spec.
@@ -440,17 +448,6 @@ func (l *Lattice) SubmitSubmission(sub workload.Submission) (*gsbl.Batch, error)
 		l.forkReferenceReplicate(sub)
 	}
 	return b, nil
-}
-
-// EnqueueSubmission is the scale-out accept path: the submission is
-// validated and durably recorded now, then expanded into grid jobs
-// when the serialized coordinator front door (Config.Ingest) reaches
-// it. With the ingest model disabled it schedules synchronously. The
-// origin labels the arrival path ("shard3/core" under a cluster); the
-// reference-cluster retraining fork stays a direct-submission feature
-// and is not applied here.
-func (l *Lattice) EnqueueSubmission(sub workload.Submission, origin string, onAccepted func(*gsbl.Batch, error)) error {
-	return l.Service.EnqueueBatchOrigin(sub, origin, onAccepted)
 }
 
 // SubmitWorkflow validates and starts a stage-DAG workflow: each

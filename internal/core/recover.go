@@ -165,12 +165,12 @@ func (l *Lattice) applyInput(r wal.Record) error {
 		}
 		var err error
 		switch {
-		case r.Queued && r.Origin == "portal":
-			// Portal-queued submissions replay through the portal so
-			// batch ownership is restored when the drain accepts them;
-			// admission rejections re-shed deterministically and are not
-			// replay errors.
-			_, _, err = l.Portal.EnqueueOwned(*r.Sub)
+		case r.Origin == "portal":
+			// Portal submissions replay through the portal so batch
+			// ownership is restored when the front door accepts them;
+			// admission rejections re-shed deterministically and are
+			// not replay errors.
+			_, _, err = l.Portal.Submit(*r.Sub)
 		case r.Queued:
 			// The record marks an ingest enqueue; re-enqueueing it
 			// re-emits the same durable record and re-execution
@@ -178,8 +178,6 @@ func (l *Lattice) applyInput(r wal.Record) error {
 			err = l.Service.EnqueueBatchOrigin(*r.Sub, r.Origin, nil)
 		case r.Origin == "core":
 			_, err = l.SubmitSubmission(*r.Sub)
-		case r.Origin == "portal":
-			_, err = l.Portal.Resubmit(*r.Sub)
 		default:
 			_, err = l.Service.SubmitBatchOrigin(*r.Sub, r.Origin)
 		}

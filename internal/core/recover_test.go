@@ -1,12 +1,15 @@
 package core
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
 
 	"lattice/internal/boinc"
 	"lattice/internal/faults"
+	"lattice/internal/gsbl"
 	"lattice/internal/obs"
 	"lattice/internal/phylo"
 	"lattice/internal/sim"
@@ -424,5 +427,78 @@ func TestJournalObserverSeesEveryEvent(t *testing.T) {
 	}
 	if _, err := j.DigestAt(3); err == nil {
 		t.Error("DigestAt past the end did not error")
+	}
+}
+
+// TestRecoverPortalQueuedOwnership checks a portal submission queued
+// behind the ingest door (admission protection off) is logged as a
+// queued portal input, and that WAL replay of it restores the batch's
+// portal ownership in the recovered deployment.
+func TestRecoverPortalQueuedOwnership(t *testing.T) {
+	dir := t.TempDir() + "/wal"
+	cfg := clusterBase(5)
+	cfg.Ingest = gsbl.IngestConfig{PerSubmissionSeconds: 2, PerReplicateSeconds: 0.5}
+	cfg.Durable = dir
+	lat, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctype, body := clusterForm(t, map[string]string{
+		"email":        "owner@example.edu",
+		"datatype":     "nucleotide",
+		"ratematrix":   "HKY85",
+		"ratehetmodel": "gamma",
+		"replicates":   "4",
+	}, clusterFASTA(t))
+	req := httptest.NewRequest(http.MethodPost, "/garli/create", body)
+	req.Header.Set("Content-Type", ctype)
+	rr := httptest.NewRecorder()
+	lat.Portal.Handler().ServeHTTP(rr, req)
+	if rr.Code != http.StatusAccepted {
+		t.Fatalf("create returned %d: %s", rr.Code, rr.Body)
+	}
+	lat.Portal.Pump(sim.Hour)
+	ids := lat.Service.Batches()
+	if len(ids) != 1 {
+		t.Fatalf("batches after drain = %v, want one", ids)
+	}
+	batchStatus := func(l *Lattice) int {
+		rr := httptest.NewRecorder()
+		l.Portal.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/batch/"+ids[0]+"?format=json", nil))
+		return rr.Code
+	}
+	if code := batchStatus(lat); code != http.StatusOK {
+		t.Fatalf("live batch status = %d, want 200 (owned)", code)
+	}
+	if err := lat.CloseDurable(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := wal.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var queued int
+	for _, r := range st.Inputs() {
+		if r.Kind == wal.KindSubmission && r.Origin == "portal" && r.Queued {
+			queued++
+		}
+	}
+	if queued != 1 {
+		t.Fatalf("queued portal inputs in the WAL = %d, want 1", queued)
+	}
+
+	back, err := Recover(dir, cfg)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if back.Recovery == nil || back.Recovery.Inputs != 1 {
+		t.Fatalf("recovery report %+v, want one replayed input", back.Recovery)
+	}
+	if code := batchStatus(back); code != http.StatusOK {
+		t.Fatalf("recovered batch status = %d, want 200 (ownership restored)", code)
+	}
+	if err := back.CloseDurable(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -175,7 +175,7 @@ func overloadArrivals(l *core.Lattice, k int, seed int64, count *int) {
 			return
 		}
 		sub := overloadSubmission(i, k, seed)
-		if err := l.EnqueueSubmission(sub, origin, nil); err != nil {
+		if err := l.Service.EnqueueBatchOrigin(sub, origin, nil); err != nil {
 			l.Service.NoteIngestErr(fmt.Errorf("experiments: overload arrival %d: %w", i, err))
 		}
 		*count++
@@ -207,7 +207,7 @@ func overloadRun(seed int64, shards int, protected bool) (*overloadOutcome, erro
 		at := at
 		c.Shards[0].Engine.ScheduleAt(at, func() {
 			sub := overloadHeavySubmission(seed)
-			if err := c.Shards[0].EnqueueSubmission(sub, shard.Origin(0, "core"), nil); err != nil {
+			if err := c.Shards[0].Service.EnqueueBatchOrigin(sub, shard.Origin(0, "core"), nil); err != nil {
 				c.Shards[0].Service.NoteIngestErr(fmt.Errorf("experiments: heavy arrival: %w", err))
 			}
 			perShard[0]++

@@ -5,12 +5,11 @@ import (
 
 	"lattice/internal/admit"
 	"lattice/internal/obs"
-	"lattice/internal/sim"
 	"lattice/internal/workload"
 )
 
-// This file is the admission-controlled variant of the ingest path
-// (see ingest.go): with a controller installed, the FIFO front-door
+// This file is the overload-protection layer of the ingest path (see
+// ingest.go): with an enabled admit.Config installed, the front-door
 // queue becomes a weighted fair-share queue with per-user quotas and
 // deterministic load shedding. Everything still runs on the virtual
 // clock inside engine callbacks, so same-seed runs shed the same
@@ -36,96 +35,11 @@ func (s *Service) SetAdmit(cfg admit.Config) error {
 	return nil
 }
 
-// AdmitActive reports whether the admission controller is installed.
-func (s *Service) AdmitActive() bool { return s.admit != nil }
-
 // Sheds reports how many submissions the admission layer rejected,
 // split by reason. Together with completed and failed batches these
 // account every submission's single terminal:
 // submissions == batches + quota + overload.
 func (s *Service) Sheds() (quota, overload int) { return s.shedQuota, s.shedOverload }
-
-// admitItem carries a queued submission's context through the
-// fair-share queue.
-type admitItem struct {
-	sub        workload.Submission
-	origin     string
-	arrived    sim.Time
-	onAccepted func(*Batch, error)
-}
-
-// admitEnqueue is the admission-controlled accept path: charge the
-// user's quota, tag the entry into the fair-share queue, shed from the
-// low-share end while the queue exceeds its bounds, and start serving
-// if the door is idle. The durable record was already written by the
-// caller — sheds are decisions, not inputs, so recovery re-enqueues
-// the submission and deterministically re-sheds it.
-func (s *Service) admitEnqueue(sub workload.Submission, origin string, onAccepted func(*Batch, error)) {
-	now := s.eng.Now()
-	if rej := s.admit.TakeQuota(sub.UserEmail, float64(sub.Replicates), now); rej != nil {
-		s.shed(&sub, origin, rej, onAccepted)
-		return
-	}
-	item := &admitItem{sub: sub, origin: origin, arrived: now, onAccepted: onAccepted}
-	s.admit.Push(sub.UserEmail, s.ingest.cost(&sub).Seconds(), item)
-	s.ingestDepth++
-	for {
-		victim, rej := s.admit.Overflow(s.admitBusySeconds(now))
-		if victim == nil {
-			break
-		}
-		v := victim.Payload.(*admitItem)
-		s.ingestDepth--
-		s.shed(&v.sub, v.origin, rej, v.onAccepted)
-	}
-	if ins := s.ingestInstruments(); ins != nil {
-		ins.depth.Set(float64(s.ingestDepth))
-	}
-	s.admitServe(now)
-}
-
-// admitBusySeconds is the remaining front-door occupancy of the entry
-// in service, the fixed part of the projected wait.
-func (s *Service) admitBusySeconds(now sim.Time) float64 {
-	if !s.admitServing || s.admitBusyUntil <= now {
-		return 0
-	}
-	return s.admitBusyUntil.Sub(now).Seconds()
-}
-
-// admitServe starts serving the lowest-finish-tag entry when the door
-// is idle; each completion expands the submission and chains to the
-// next entry.
-func (s *Service) admitServe(now sim.Time) {
-	if s.admitServing {
-		return
-	}
-	e := s.admit.Pop()
-	if e == nil {
-		return
-	}
-	item := e.Payload.(*admitItem)
-	s.admitServing = true
-	done := now.Add(sim.Duration(e.Cost))
-	s.admitBusyUntil = done
-	s.eng.ScheduleAt(done, func() {
-		s.admitServing = false
-		s.ingestDepth--
-		if ins := s.ingestInstruments(); ins != nil {
-			ins.depth.Set(float64(s.ingestDepth))
-			ins.wait.Observe(float64(s.eng.Now().Sub(item.arrived)))
-			ins.accepted.Inc()
-		}
-		b, err := s.submit(item.sub, item.origin, ingestDetail(&item.sub), nil)
-		if err != nil {
-			s.noteIngestErr(err)
-		}
-		if item.onAccepted != nil {
-			item.onAccepted(b, err)
-		}
-		s.admitServe(s.eng.Now())
-	})
-}
 
 // shed accounts one rejected submission: exactly one StageShed journal
 // event (the submission's terminal), a per-reason counter, and the

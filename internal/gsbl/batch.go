@@ -59,18 +59,16 @@ type Service struct {
 	obs      *obs.Obs
 	durable  Durability
 
-	// Serialized front-door state (see ingest.go).
+	// Serialized front-door state (see ingest.go). admit is the
+	// front-door queue: arrival order by default, fair share with
+	// quotas and shedding once SetAdmit installs protection.
 	ingest         IngestConfig
-	ingestFree     sim.Time
+	admit          *admit.Controller
+	serving        bool
+	busyUntil      sim.Time
 	ingestDepth    int
 	ingestErrs     []error
 	ingestInsCache *ingestIns
-
-	// Admission-control state (see admitpath.go). admit nil means the
-	// overload-protection layer is off and the ingest queue is FIFO.
-	admit          *admit.Controller
-	admitServing   bool
-	admitBusyUntil sim.Time
 	shedQuota      int
 	shedOverload   int
 }
@@ -78,13 +76,11 @@ type Service struct {
 // Durability is the write-ahead-log hook for submissions entering the
 // coordinator. The submission is recorded after validation and before
 // any scheduling side effect, so a recovered run can re-inject it and
-// regenerate everything downstream. QueuedSubmission is the same
-// contract for the serialized ingest path: the record marks an
-// *enqueue* — recovery re-enqueues it and re-execution regenerates
-// the drain-time scheduling.
+// regenerate everything downstream. queued marks a record from the
+// serialized ingest path: it is an *enqueue* — recovery re-enqueues it
+// and re-execution regenerates the drain-time scheduling.
 type Durability interface {
-	Submission(at sim.Time, origin string, sub workload.Submission)
-	QueuedSubmission(at sim.Time, origin string, sub workload.Submission)
+	Submission(at sim.Time, origin string, sub workload.Submission, queued bool)
 }
 
 // SetDurable installs the durability hook (nil disables it).
@@ -108,6 +104,7 @@ func NewService(eng *sim.Engine, sched *metasched.Scheduler, mailer *Mailer, rng
 		mailer:  mailer,
 		rng:     rng,
 		batches: make(map[string]*Batch),
+		admit:   new(admit.Controller),
 	}
 }
 
@@ -118,18 +115,13 @@ func (s *Service) Validate(sub *workload.Submission) error {
 	return sub.Validate()
 }
 
-// SubmitBatch validates and schedules a submission. On completion of
-// every replicate the user is emailed and results become downloadable.
-func (s *Service) SubmitBatch(sub workload.Submission) (*Batch, error) {
-	return s.SubmitBatchOrigin(sub, "service")
-}
-
-// SubmitBatchOrigin is SubmitBatch with an explicit origin label
-// ("service", "portal", "core") naming the path the submission
-// arrived through. The durability layer records the label so recovery
-// can re-inject each submission through the same path — paths differ
-// in bookkeeping (portal ownership) and RNG side effects (core's
-// reference fork).
+// SubmitBatchOrigin validates and schedules a submission synchronously.
+// On completion of every replicate the user is emailed and results
+// become downloadable. The origin label ("service", "portal", "core")
+// names the path the submission arrived through. The durability layer
+// records the label so recovery can re-inject each submission through
+// the same path — paths differ in bookkeeping (portal ownership) and
+// RNG side effects (core's reference fork).
 func (s *Service) SubmitBatchOrigin(sub workload.Submission, origin string) (*Batch, error) {
 	if err := s.Validate(&sub); err != nil {
 		return nil, err
@@ -137,26 +129,10 @@ func (s *Service) SubmitBatchOrigin(sub workload.Submission, origin string) (*Ba
 	if s.durable != nil {
 		// Record the input exactly as it arrived (before BatchTag
 		// assignment mutates it).
-		s.durable.Submission(s.eng.Now(), origin, sub)
+		s.durable.Submission(s.eng.Now(), origin, sub, false)
 	}
 	return s.submit(sub, origin,
 		fmt.Sprintf("%d replicates for %s", sub.Replicates, sub.UserEmail), nil)
-}
-
-// SubmitBatchDerived schedules a submission derived from an input the
-// durability layer already witnessed — a workflow stage batch. It is
-// deliberately *not* recorded as a WAL input: crash recovery
-// re-injects the workflow itself, and deterministic re-execution
-// regenerates every stage submission; recording both would
-// double-inject on replay. The origin labels the deriving context
-// ("<run>/<stage>") through the journal, and onDone fires once when
-// the batch reaches its terminal state.
-func (s *Service) SubmitBatchDerived(sub workload.Submission, origin string, onDone func(BatchStatus)) (*Batch, error) {
-	if err := s.Validate(&sub); err != nil {
-		return nil, err
-	}
-	return s.submit(sub, origin,
-		fmt.Sprintf("%d replicates for %s via %s", sub.Replicates, sub.UserEmail, origin), onDone)
 }
 
 // submit is the shared accept path: batch bookkeeping, trace root,
@@ -189,13 +165,22 @@ func (s *Service) submit(sub workload.Submission, origin, validateDetail string,
 }
 
 // RunStage implements the workflow engine's Runner contract
-// (internal/dag): a ready stage becomes an ordinary derived batch
-// whose origin names the workflow run and stage, and the stage
-// advances when the batch is terminal.
+// (internal/dag): a ready stage becomes an ordinary batch whose origin
+// ("<run>/<stage>") names the workflow run and stage, and the stage
+// advances when the batch is terminal. A stage batch is derived from
+// an input the durability layer already witnessed, so it is
+// deliberately *not* recorded as a WAL input: crash recovery
+// re-injects the workflow itself, and deterministic re-execution
+// regenerates every stage submission; recording both would
+// double-inject on replay.
 func (s *Service) RunStage(runID, stageID string, sub workload.Submission, done func(completed, failed int)) (string, error) {
-	b, err := s.SubmitBatchDerived(sub, runID+"/"+stageID, func(st BatchStatus) {
-		done(st.Completed, st.Failed)
-	})
+	if err := s.Validate(&sub); err != nil {
+		return "", err
+	}
+	origin := runID + "/" + stageID
+	b, err := s.submit(sub, origin,
+		fmt.Sprintf("%d replicates for %s via %s", sub.Replicates, sub.UserEmail, origin),
+		func(st BatchStatus) { done(st.Completed, st.Failed) })
 	if err != nil {
 		return "", err
 	}

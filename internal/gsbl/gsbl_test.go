@@ -82,7 +82,7 @@ func TestGarliAppXMLRoundTrip(t *testing.T) {
 
 func TestBatchLifecycle(t *testing.T) {
 	eng, svc, mailer := testService(t)
-	b, err := svc.SubmitBatch(smallSubmission(8))
+	b, err := svc.SubmitBatchOrigin(smallSubmission(8), "service")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,23 +111,23 @@ func TestBatchLifecycle(t *testing.T) {
 func TestValidationRejectsBadSubmission(t *testing.T) {
 	_, svc, _ := testService(t)
 	bad := smallSubmission(0)
-	if _, err := svc.SubmitBatch(bad); err == nil {
+	if _, err := svc.SubmitBatchOrigin(bad, "service"); err == nil {
 		t.Error("zero-replicate submission accepted")
 	}
 	bad = smallSubmission(5)
 	bad.Spec.NumTaxa = 1
-	if _, err := svc.SubmitBatch(bad); err == nil {
+	if _, err := svc.SubmitBatchOrigin(bad, "service"); err == nil {
 		t.Error("1-taxon submission accepted")
 	}
 	bad = smallSubmission(workload.MaxReplicates + 1)
-	if _, err := svc.SubmitBatch(bad); err == nil {
+	if _, err := svc.SubmitBatchOrigin(bad, "service"); err == nil {
 		t.Error("over-limit replicate count accepted")
 	}
 }
 
 func TestResultsZip(t *testing.T) {
 	eng, svc, _ := testService(t)
-	b, err := svc.SubmitBatch(smallSubmission(5))
+	b, err := svc.SubmitBatchOrigin(smallSubmission(5), "service")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestCancelBatch(t *testing.T) {
 	sub := smallSubmission(4)
 	sub.Spec.NumTaxa = 80
 	sub.Spec.SeqLength = 3000 // long jobs
-	b, err := svc.SubmitBatch(sub)
+	b, err := svc.SubmitBatchOrigin(sub, "service")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestUnknownBatchQueries(t *testing.T) {
 func TestBatchesSorted(t *testing.T) {
 	_, svc, _ := testService(t)
 	for i := 0; i < 3; i++ {
-		if _, err := svc.SubmitBatch(smallSubmission(1)); err != nil {
+		if _, err := svc.SubmitBatchOrigin(smallSubmission(1), "service"); err != nil {
 			t.Fatal(err)
 		}
 	}

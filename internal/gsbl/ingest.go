@@ -15,9 +15,11 @@ import (
 // of CPUs. Each accepted submission occupies the coordinator for
 // PerSubmissionSeconds plus PerReplicateSeconds per replicate of
 // virtual time; submissions arriving while the coordinator is busy
-// queue FIFO. The zero value disables the model entirely — submissions
-// schedule synchronously on arrival, the pre-scale-out behaviour,
-// bit-identical to builds without the ingest path.
+// wait in the front-door queue, an admit.Controller that serves them
+// in arrival order unless SetAdmit installs overload protection. The
+// zero value disables the model entirely — submissions schedule
+// synchronously on arrival, the pre-scale-out behaviour, bit-identical
+// to builds without the ingest path.
 type IngestConfig struct {
 	// PerSubmissionSeconds is the fixed virtual cost of accepting one
 	// submission (validation, staging, batch registration).
@@ -63,9 +65,10 @@ func (s *Service) IngestErrors() []error { return s.ingestErrs }
 // input — a crash loses nothing that was accepted), then expanded
 // into grid jobs when the serialized coordinator front door reaches
 // it on the virtual clock. onAccepted, when non-nil, fires at drain
-// time with the created batch or the deferred scheduling error. With
-// the ingest model disabled this is SubmitBatchOrigin plus a
-// synchronous callback.
+// time with the created batch or the deferred scheduling error, or
+// with an *admit.Rejection when the admission layer sheds the
+// submission. With the ingest model disabled this is
+// SubmitBatchOrigin plus a synchronous callback.
 func (s *Service) EnqueueBatchOrigin(sub workload.Submission, origin string, onAccepted func(*Batch, error)) error {
 	if !s.ingest.Enabled() {
 		b, err := s.SubmitBatchOrigin(sub, origin)
@@ -80,46 +83,90 @@ func (s *Service) EnqueueBatchOrigin(sub workload.Submission, origin string, onA
 	if err := s.Validate(&sub); err != nil {
 		return err
 	}
+	now := s.eng.Now()
 	if s.durable != nil {
 		// The enqueue is the durable input: recovery re-enqueues it at
 		// this virtual time and deterministic re-execution regenerates
 		// the drain, the batch, and everything downstream. Recorded
 		// before the admission decision so a shed submission replays
 		// and deterministically re-sheds.
-		s.durable.QueuedSubmission(s.eng.Now(), origin, sub)
+		s.durable.Submission(now, origin, sub, true)
 	}
-	if s.admit != nil {
-		s.admitEnqueue(sub, origin, onAccepted)
+	// Charge the user's quota, tag the entry into the queue, shed from
+	// the low-share end while the queue exceeds its bounds, and start
+	// serving if the door is idle. Sheds are decisions, not inputs.
+	if rej := s.admit.TakeQuota(sub.UserEmail, float64(sub.Replicates), now); rej != nil {
+		s.shed(&sub, origin, rej, onAccepted)
 		return nil
 	}
-	now := s.eng.Now()
-	start := now
-	if s.ingestFree > start {
-		start = s.ingestFree
-	}
-	done := start.Add(s.ingest.cost(&sub))
-	s.ingestFree = done
+	item := &ingestItem{sub: sub, origin: origin, arrived: now, onAccepted: onAccepted}
+	s.admit.Push(sub.UserEmail, s.ingest.cost(&sub).Seconds(), item)
 	s.ingestDepth++
-	ins := s.ingestInstruments()
-	if ins != nil {
-		ins.depth.Set(float64(s.ingestDepth))
-		ins.accepted.Inc()
-	}
-	s.eng.ScheduleAt(done, func() {
-		s.ingestDepth--
-		if ins != nil {
-			ins.depth.Set(float64(s.ingestDepth))
-			ins.wait.Observe(float64(s.eng.Now().Sub(now)))
+	for {
+		victim, rej := s.admit.Overflow(s.busySeconds(now))
+		if victim == nil {
+			break
 		}
-		b, err := s.submit(sub, origin, ingestDetail(&sub), nil)
+		v := victim.Payload.(*ingestItem)
+		s.ingestDepth--
+		s.shed(&v.sub, v.origin, rej, v.onAccepted)
+	}
+	if ins := s.ingestInstruments(); ins != nil {
+		ins.depth.Set(float64(s.ingestDepth))
+	}
+	s.serve(now)
+	return nil
+}
+
+// ingestItem carries a queued submission's context through the
+// front-door queue.
+type ingestItem struct {
+	sub        workload.Submission
+	origin     string
+	arrived    sim.Time
+	onAccepted func(*Batch, error)
+}
+
+// busySeconds is the remaining front-door occupancy of the entry in
+// service, the fixed part of the projected wait.
+func (s *Service) busySeconds(now sim.Time) float64 {
+	if !s.serving || s.busyUntil <= now {
+		return 0
+	}
+	return s.busyUntil.Sub(now).Seconds()
+}
+
+// serve starts serving the next queued entry when the door is idle;
+// each completion expands the submission and chains to the next entry.
+func (s *Service) serve(now sim.Time) {
+	if s.serving {
+		return
+	}
+	e := s.admit.Pop()
+	if e == nil {
+		return
+	}
+	item := e.Payload.(*ingestItem)
+	s.serving = true
+	done := now.Add(sim.Duration(e.Cost))
+	s.busyUntil = done
+	s.eng.ScheduleAt(done, func() {
+		s.serving = false
+		s.ingestDepth--
+		if ins := s.ingestInstruments(); ins != nil {
+			ins.depth.Set(float64(s.ingestDepth))
+			ins.wait.Observe(float64(s.eng.Now().Sub(item.arrived)))
+			ins.accepted.Inc()
+		}
+		b, err := s.submit(item.sub, item.origin, ingestDetail(&item.sub), nil)
 		if err != nil {
 			s.noteIngestErr(err)
 		}
-		if onAccepted != nil {
-			onAccepted(b, err)
+		if item.onAccepted != nil {
+			item.onAccepted(b, err)
 		}
+		s.serve(s.eng.Now())
 	})
-	return nil
 }
 
 func ingestDetail(sub *workload.Submission) string {

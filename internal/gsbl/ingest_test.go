@@ -1,8 +1,10 @@
 package gsbl
 
 import (
+	"strings"
 	"testing"
 
+	"lattice/internal/obs"
 	"lattice/internal/sim"
 	"lattice/internal/workload"
 )
@@ -18,12 +20,8 @@ type recordedInput struct {
 // fakeDurable captures durability-hook calls.
 type fakeDurable struct{ inputs []recordedInput }
 
-func (f *fakeDurable) Submission(at sim.Time, origin string, sub workload.Submission) {
-	f.inputs = append(f.inputs, recordedInput{at: at, origin: origin, sub: sub})
-}
-
-func (f *fakeDurable) QueuedSubmission(at sim.Time, origin string, sub workload.Submission) {
-	f.inputs = append(f.inputs, recordedInput{at: at, origin: origin, queued: true, sub: sub})
+func (f *fakeDurable) Submission(at sim.Time, origin string, sub workload.Submission, queued bool) {
+	f.inputs = append(f.inputs, recordedInput{at: at, origin: origin, queued: queued, sub: sub})
 }
 
 // TestIngestDisabledIsSynchronous checks the zero-value config takes
@@ -118,6 +116,63 @@ func TestIngestSerializesSubmissions(t *testing.T) {
 	}
 	if errs := svc.IngestErrors(); len(errs) != 0 {
 		t.Fatalf("unexpected ingest errors: %v", errs)
+	}
+}
+
+// TestIngestUnprotectedServesArrivalOrder pins the front door with the
+// ingest model on and no admission protection: a heavy user's backlog
+// drains before a light user who arrived behind it — arrival order,
+// never fair share — and the accepted counter counts at drain, not at
+// enqueue.
+func TestIngestUnprotectedServesArrivalOrder(t *testing.T) {
+	eng, svc, _ := testService(t)
+	hub := obs.New(eng)
+	svc.SetObs(hub)
+	svc.SetIngest(IngestConfig{PerSubmissionSeconds: 1, PerReplicateSeconds: 1})
+	accepted := func() float64 {
+		for _, s := range hub.Registry.Snapshot() {
+			if s.Name == "lattice_gsbl_ingest_accepted_total" {
+				return s.Value
+			}
+		}
+		return 0
+	}
+	var order []string
+	accept := func(user string) func(*Batch, error) {
+		return func(b *Batch, err error) {
+			if err != nil {
+				t.Fatalf("accept for %s: %v", user, err)
+			}
+			order = append(order, user)
+		}
+	}
+	// Three 41 s heavy submissions, then one 2 s light one: fair share
+	// would serve the light user second.
+	for i := 0; i < 3; i++ {
+		if err := svc.EnqueueBatchOrigin(userSubmission("heavy@x", 40), "service", accept("heavy")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := svc.EnqueueBatchOrigin(userSubmission("light@x", 1), "service", accept("light")); err != nil {
+		t.Fatal(err)
+	}
+	if got := accepted(); got != 0 {
+		t.Fatalf("accepted counter = %v before any drain, want 0", got)
+	}
+	eng.RunUntil(sim.Time(41))
+	if got := accepted(); got != 1 {
+		t.Fatalf("accepted counter = %v after the first drain, want 1", got)
+	}
+	eng.RunUntil(sim.Time(sim.Hour))
+	want := []string{"heavy", "heavy", "heavy", "light"}
+	if strings.Join(order, ",") != strings.Join(want, ",") {
+		t.Fatalf("drain order %v, want arrival order %v", order, want)
+	}
+	if got := accepted(); got != 4 {
+		t.Fatalf("accepted counter = %v after all drains, want 4", got)
+	}
+	if q, o := svc.Sheds(); q != 0 || o != 0 {
+		t.Fatalf("unprotected door shed: quota=%d overload=%d", q, o)
 	}
 }
 

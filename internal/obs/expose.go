@@ -104,7 +104,7 @@ func formatFloat(v float64) string {
 // ParseExposition parses text-exposition output back into a flat
 // series→value map keyed by "name{labels}" exactly as exposed.
 // Comment and blank lines are skipped; any other malformed line is an
-// error. It is the inverse the smoke checks and cmd/benchjson use.
+// error. It is the inverse the smoke checks use.
 func ParseExposition(text string) (map[string]float64, error) {
 	out := make(map[string]float64)
 	for ln, line := range strings.Split(text, "\n") {

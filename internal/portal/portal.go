@@ -112,31 +112,18 @@ func (p *Portal) LookupToken(token string) (string, bool) {
 	return email, ok
 }
 
-// Resubmit pushes a submission through the portal's submission path —
-// batch creation plus ownership bookkeeping — without an HTTP
-// request. Recovery uses it to re-inject portal-originated
-// submissions.
-func (p *Portal) Resubmit(sub workload.Submission) (*gsbl.Batch, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	batch, err := p.svc.SubmitBatchOrigin(sub, "portal")
-	if err != nil {
-		return nil, err
-	}
-	p.owners[batch.ID] = sub.UserEmail
-	return batch, nil
-}
-
-// EnqueueOwned pushes a submission through the service's admission and
-// ingest front door with portal ownership bookkeeping. The acceptance
-// callback fires either synchronously (immediate quota refusal or
-// arriving-entry shed) or later at ingest drain time; drains run inside
-// Pump, which holds the portal mutex, so the callback writes the
-// ownership map directly instead of locking. The return value reflects
-// what is known when the enqueue returns: the batch when acceptance was
-// synchronous, the admission rejection when the submission was shed on
-// arrival, or (nil, nil, nil) when it was queued behind the door.
-func (p *Portal) EnqueueOwned(sub workload.Submission) (*gsbl.Batch, *admit.Rejection, error) {
+// Submit pushes a submission through the service's front door
+// (gsbl.Service.EnqueueBatchOrigin) with portal ownership bookkeeping;
+// POST /garli/create and WAL recovery both use it. The acceptance
+// callback fires either synchronously (ingest model off, immediate
+// quota refusal, or arriving-entry shed) or later at ingest drain
+// time; drains run inside Pump, which holds the portal mutex, so the
+// callback writes the ownership map directly instead of locking. The
+// return value reflects what is known when the enqueue returns: the
+// batch when acceptance was synchronous, the admission rejection when
+// the submission was shed on arrival, or (nil, nil, nil) when it was
+// queued behind the door.
+func (p *Portal) Submit(sub workload.Submission) (*gsbl.Batch, *admit.Rejection, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var (
@@ -376,42 +363,29 @@ func (p *Portal) createJob(w http.ResponseWriter, r *http.Request) {
 		Bootstrap:  bootstrap,
 		UserEmail:  email,
 	}
-	if p.svc.AdmitActive() {
-		// The admission controller fronts the door: a refusal becomes
-		// HTTP 429 with the controller's deterministic Retry-After hint,
-		// and an admitted submission may still be queued (202) rather
-		// than expanded before the response is written.
-		batch, rej, err := p.EnqueueOwned(sub)
-		if err != nil {
-			http.Error(w, "validation failed: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		if rej != nil {
-			w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(rej.RetryAfter.Seconds()))))
-			http.Error(w, rej.Error(), http.StatusTooManyRequests)
-			return
-		}
-		if batch == nil {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusAccepted)
-			if err := json.NewEncoder(w).Encode(map[string]any{
-				"status":     "queued",
-				"replicates": replicates,
-			}); err != nil {
-				p.noteClientErr()
-			}
-			return
-		}
-		p.writeJSON(w, map[string]any{
-			"batch":      batch.ID,
-			"jobs":       len(batch.Jobs),
-			"replicates": replicates,
-		})
-		return
-	}
-	batch, err := p.Resubmit(sub)
+	// An admission refusal becomes HTTP 429 with the controller's
+	// deterministic Retry-After hint, and with the ingest model on an
+	// accepted submission is queued (202) rather than expanded before
+	// the response is written.
+	batch, rej, err := p.Submit(sub)
 	if err != nil {
 		http.Error(w, "validation failed: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	if rej != nil {
+		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(rej.RetryAfter.Seconds()))))
+		http.Error(w, rej.Error(), http.StatusTooManyRequests)
+		return
+	}
+	if batch == nil {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusAccepted)
+		if err := json.NewEncoder(w).Encode(map[string]any{
+			"status":     "queued",
+			"replicates": replicates,
+		}); err != nil {
+			p.noteClientErr()
+		}
 		return
 	}
 	p.writeJSON(w, map[string]any{

@@ -563,3 +563,56 @@ func TestCreateJobAdmission(t *testing.T) {
 		t.Fatalf("batch status for drained submission returned %d", resp.StatusCode)
 	}
 }
+
+// TestCreateJobQueuesWithoutAdmission checks the portal always submits
+// through the front door: with the ingest model on and admission
+// protection off, a POST is queued behind the door (202) rather than
+// scheduled synchronously, and the batch gains its owner only when the
+// drain accepts it.
+func TestCreateJobQueuesWithoutAdmission(t *testing.T) {
+	p, ts := admitFixture(t, admit.Config{})
+	ctype, body := multipartForm(t, map[string]string{
+		"email":        "queued@example.org",
+		"datatype":     "nucleotide",
+		"ratematrix":   "HKY85",
+		"ratehetmodel": "gamma",
+		"replicates":   "4",
+	}, testFASTA(t))
+	resp, err := http.Post(ts.URL+"/garli/create", ctype, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted || !strings.Contains(string(raw), "queued") {
+		t.Fatalf("create returned %d %s, want 202 queued", resp.StatusCode, raw)
+	}
+	ownedBy := func(email string) []string {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		var ids []string
+		for id, owner := range p.owners {
+			if owner == email {
+				ids = append(ids, id)
+			}
+		}
+		return ids
+	}
+	if owned := ownedBy("queued@example.org"); len(owned) != 0 {
+		t.Fatalf("batch owned before the drain: %v", owned)
+	}
+	// One 1 s + 4×0.25 s submission: the drain lands at t=2 s.
+	p.Pump(sim.Minute)
+	owned := ownedBy("queued@example.org")
+	if len(owned) != 1 {
+		t.Fatalf("owned batches after drain = %v, want exactly one", owned)
+	}
+	resp, err = http.Get(ts.URL + "/batch/" + owned[0] + "?format=json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status for drained submission returned %d", resp.StatusCode)
+	}
+}
